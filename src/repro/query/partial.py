@@ -45,7 +45,7 @@ import numpy as np
 from repro.dataframe import DataFrame
 from repro.dataframe import dtypes as dt
 from repro.dataframe.column import Column, _hashable
-from repro.dataframe.frame import _freeze, flatten_record
+from repro.dataframe.frame import _LEAF_TYPES, _freeze, flatten_record
 from repro.query import ast as q
 from repro.query.executor import evaluate_predicate, execute_query
 
@@ -271,7 +271,10 @@ def _project_flat(
     out: dict[str, Any] = {}
 
     def walk(prefix: str, value: Any, depth: int) -> None:
-        if isinstance(value, Mapping) and depth < max_depth:
+        t = type(value)
+        if (
+            t is dict or (t not in _LEAF_TYPES and isinstance(value, Mapping))
+        ) and depth < max_depth:
             if not value:
                 if prefix in wanted:
                     out[prefix] = {}

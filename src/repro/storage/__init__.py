@@ -44,6 +44,7 @@ from repro.storage.memory import (
     DEFAULT_RANGE_INDEX_FIELDS,
     ProvenanceDatabase,
     apply_pipeline_stages,
+    compile_filter,
     matches_filter,
     validate_filter,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "path_exists",
     "merge_upsert_doc",
     "sort_documents",
+    "compile_filter",
     "matches_filter",
     "validate_filter",
     "apply_pipeline_stages",

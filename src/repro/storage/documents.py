@@ -12,11 +12,12 @@ across backends for them to be drop-in interchangeable:
 * :func:`sort_documents` — the stable, nulls-last sort every backend
   (and the sharded coordinator's merge step) applies.
 
-``get_path`` sits on the hottest paths in the repository — index
-maintenance runs it per indexed field per ingested document, and scan
-verification runs it per filter entry per candidate — so it special
-cases plain ``dict`` (the only type the stores ever hold) before paying
-for an ABC ``isinstance`` check, and skips the dotted walk entirely for
+``get_path`` sits on hot paths — index maintenance runs it per indexed
+field per ingested document, and sorts and projections per document
+(filter verification uses getters compiled from it, see
+:func:`repro.storage.memory.compile_filter`) — so it special cases
+plain ``dict`` (the only type the stores ever hold) before paying for
+an ABC ``isinstance`` check, and skips the dotted walk entirely for
 top-level misses.
 """
 

@@ -31,15 +31,23 @@ falls back to scanning.  See ``docs/query_surface.md`` for the complete
 operator/index reference and :meth:`ProvenanceDatabase.explain` for the
 plan a given filter gets.
 
-The filter matcher (:func:`matches_filter`), validator
-(:func:`validate_filter`), and pipeline-stage executor
-(:func:`apply_pipeline_stages`) are module-level so other backends —
-notably the sharded coordinator, which merges per-shard results and
-runs pipeline tails itself — share one definition of the semantics.
+The predicate is compiled once per query (:func:`compile_filter`), not
+interpreted per document: the filter is validated, nested ``$and`` is
+flattened, each path gets a getter specialised for plain ``dict``
+documents, and the range bounds on one path are fused into a single
+check.  The planner fuses them the same way, into one bisection window.
+
+The filter compiler (:func:`compile_filter`, with :func:`matches_filter`
+as its one-document form), validator (:func:`validate_filter`), and
+pipeline-stage executor (:func:`apply_pipeline_stages`) are
+module-level so other backends — notably the sharded coordinator,
+which merges per-shard results and runs pipeline tails itself — share
+one definition of the semantics.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 import threading
 from bisect import bisect_left, bisect_right, insort
@@ -57,6 +65,7 @@ __all__ = [
     "ProvenanceDatabase",
     "get_path",
     "merge_upsert_doc",
+    "compile_filter",
     "matches_filter",
     "validate_filter",
     "apply_pipeline_stages",
@@ -92,7 +101,6 @@ def _require_container(op: str, arg: Any) -> None:
 
 
 def _in_op(v: Any, arg: Any) -> bool:
-    _require_container("$in", arg)
     # equality scan instead of `v in arg` so unhashable stored values
     # (lists, dicts) work against set arguments and strings don't get
     # substring semantics
@@ -100,12 +108,7 @@ def _in_op(v: Any, arg: Any) -> bool:
 
 
 def _nin_op(v: Any, arg: Any) -> bool:
-    _require_container("$nin", arg)
     return not any(v == item for item in arg)
-
-
-def _regex_op(v: Any, arg: Any) -> bool:
-    return isinstance(v, str) and _compile_regex(arg).search(v) is not None
 
 
 def _compile_regex(arg: Any) -> re.Pattern:
@@ -121,28 +124,47 @@ def _compile_regex(arg: Any) -> re.Pattern:
         raise DatabaseError(f"invalid $regex pattern {arg!r}: {exc}") from exc
 
 
-_OPERATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "$eq": lambda v, arg: v == arg,
-    "$ne": lambda v, arg: v != arg,
-    "$gt": lambda v, arg: v is not None and v > arg,
-    "$gte": lambda v, arg: v is not None and v >= arg,
-    "$lt": lambda v, arg: v is not None and v < arg,
-    "$lte": lambda v, arg: v is not None and v <= arg,
-    "$in": _in_op,
-    "$nin": _nin_op,
-    "$regex": _regex_op,
+#: range operators; a missing (None) value never satisfies one
+_RANGE_OPS: dict[str, Callable[[Any, Any], Any]] = {
+    "$gt": operator.gt,
+    "$gte": operator.ge,
+    "$lt": operator.lt,
+    "$lte": operator.le,
 }
 
-_RANGE_OPS = ("$gt", "$gte", "$lt", "$lte")
+#: operators applied to the resolved value as ``fn(value, arg)``
+_VALUE_OPS: dict[str, Callable[[Any, Any], Any]] = {
+    "$eq": operator.eq,
+    "$ne": operator.ne,
+    "$in": _in_op,
+    "$nin": _nin_op,
+}
+
+_OPERATORS = frozenset({*_RANGE_OPS, *_VALUE_OPS, "$regex", "$exists"})
+
+
+def _is_operator_doc(cond: Any) -> bool:
+    """``{"$gt": 1}`` is an operator document; ``{"x": 1}`` is a literal."""
+    return isinstance(cond, Mapping) and any(k.startswith("$") for k in cond)
+
+
+def _conjuncts(filt: Mapping[str, Any]) -> Iterable[tuple[Any, Any]]:
+    """The ``(path, cond)`` entries of ``filt`` with nested ``$and`` inlined."""
+    for path, cond in filt.items():
+        if path == "$and":
+            for sub in cond:
+                yield from _conjuncts(sub)
+        else:
+            yield path, cond
 
 
 def validate_filter(filt: Mapping[str, Any]) -> None:
     """Reject malformed filters up front, independent of matching docs.
 
-    The planner can answer a query from an index without ever calling
-    :func:`matches_filter` on a document — and a sharded store can route
-    a query to zero shards — so operator/argument validation must not be
-    left to per-document evaluation.
+    The planner can answer a query from an index without ever running
+    the predicate on a document — and a sharded store can route a query
+    to zero shards — so operator/argument validation must not be left
+    to per-document evaluation.
     """
     for path, cond in filt.items():
         if path in ("$or", "$and"):
@@ -153,10 +175,8 @@ def validate_filter(filt: Mapping[str, Any]) -> None:
             for sub in cond:
                 validate_filter(sub)
             continue
-        if isinstance(cond, Mapping) and any(k.startswith("$") for k in cond):
+        if _is_operator_doc(cond):
             for op, arg in cond.items():
-                if op == "$exists":
-                    continue
                 if op not in _OPERATORS:
                     raise DatabaseError(f"unknown operator {op!r}")
                 if op in ("$in", "$nin"):
@@ -165,36 +185,185 @@ def validate_filter(filt: Mapping[str, Any]) -> None:
                     _compile_regex(arg)
 
 
+Predicate = Callable[[Mapping[str, Any]], bool]
+
+
+def compile_filter(filt: Mapping[str, Any]) -> Predicate:
+    """Validate ``filt`` once and return its predicate over documents.
+
+    The one implementation of filter semantics.  Compiling resolves
+    everything a per-document interpreter would redo for every document:
+    operator dispatch, nested ``$and`` (flattened into the enclosing
+    conjunction), dotted-path splitting (each path gets a getter
+    specialised for plain ``dict`` documents, with :func:`get_path` as
+    the fallback for other mappings), and regex compilation.  Range
+    operators on one path — also across ``$and`` branches, the shape
+    pushdown sends for every range — fuse into a single check that
+    resolves the path once.  Mixed-type comparisons raise ``TypeError``
+    in Python; every operator treats that as no-match.  A malformed
+    filter raises :class:`DatabaseError` here, before any document is
+    read.
+    """
+    validate_filter(filt)
+    return _compile(filt)
+
+
 def matches_filter(doc: Mapping[str, Any], filt: Mapping[str, Any]) -> bool:
-    """Full predicate evaluation of one filter document against one doc."""
-    for path, cond in filt.items():
+    """Full predicate evaluation of one filter document against one doc.
+
+    Compiles per call; loops over many documents should hold on to
+    :func:`compile_filter`'s predicate instead.
+    """
+    return compile_filter(filt)(doc)
+
+
+def _compile(filt: Mapping[str, Any]) -> Predicate:
+    checks: list[Predicate | None] = []
+    # path -> (slot in checks, [(op fn, arg), ...]): one fused range check
+    bounds: dict[Any, tuple[int, list[tuple[Callable[[Any, Any], Any], Any]]]] = {}
+    for path, cond in _conjuncts(filt):
         if path == "$or":
-            if not any(matches_filter(doc, sub) for sub in cond):
-                return False
-            continue
-        if path == "$and":
-            if not all(matches_filter(doc, sub) for sub in cond):
-                return False
-            continue
-        value = get_path(doc, path)
-        if isinstance(cond, Mapping) and any(k.startswith("$") for k in cond):
-            for op, arg in cond.items():
-                if op == "$exists":
-                    if path_exists(doc, path) != bool(arg):
-                        return False
-                    continue
-                fn = _OPERATORS.get(op)
-                if fn is None:
-                    raise DatabaseError(f"unknown operator {op!r}")
-                try:
-                    if not fn(value, arg):
-                        return False
-                except TypeError:
-                    return False
+            checks.append(_any_of([_compile(sub) for sub in cond]))
+        elif not _is_operator_doc(cond):
+            checks.append(_eq_check(_getter(path), cond))
         else:
-            if value != cond:
+            for op, arg in cond.items():
+                if op in _RANGE_OPS:
+                    if path not in bounds:
+                        bounds[path] = (len(checks), [])
+                        checks.append(None)
+                    bounds[path][1].append((_RANGE_OPS[op], arg))
+                elif op == "$exists":
+                    checks.append(_exists_check(path, bool(arg)))
+                elif op == "$regex":
+                    checks.append(_regex_check(_getter(path), _compile_regex(arg)))
+                else:
+                    checks.append(_value_check(_getter(path), _VALUE_OPS[op], arg))
+    for path, (slot, pairs) in bounds.items():
+        checks[slot] = _range_check(_getter(path), pairs)
+    return _all_of(checks)  # type: ignore[arg-type]
+
+
+def _getter(path: Any) -> Callable[[Mapping[str, Any]], Any]:
+    """``lambda doc: get_path(doc, path)``, specialised for ``dict`` docs."""
+    if type(path) is not str:
+        return lambda doc: get_path(doc, path)
+    if "." not in path:
+        def get_top(doc: Mapping[str, Any]) -> Any:
+            if type(doc) is dict:
+                return doc.get(path)
+            return get_path(doc, path)
+
+        return get_top
+    parts = tuple(path.split("."))
+
+    def get_dotted(doc: Mapping[str, Any]) -> Any:
+        if type(doc) is not dict:
+            return get_path(doc, path)
+        if path in doc:  # a literal dotted key wins over the nested walk
+            return doc[path]
+        cur: Any = doc
+        for part in parts:
+            if type(cur) is dict:
+                cur = cur.get(part)
+            elif cur is None:
+                return None
+            else:  # another Mapping type, or a scalar: the general walk
+                return get_path(doc, path)
+        return cur
+
+    return get_dotted
+
+
+def _eq_check(get: Callable[[Any], Any], cond: Any) -> Predicate:
+    # implicit equality: no TypeError guard
+    return lambda doc: not (get(doc) != cond)
+
+
+def _value_check(
+    get: Callable[[Any], Any], fn: Callable[[Any, Any], Any], arg: Any
+) -> Predicate:
+    def check(doc: Mapping[str, Any]) -> bool:
+        v = get(doc)
+        try:
+            return bool(fn(v, arg))
+        except TypeError:
+            return False
+
+    return check
+
+
+def _regex_check(get: Callable[[Any], Any], pattern: re.Pattern) -> Predicate:
+    search = pattern.search
+
+    def check(doc: Mapping[str, Any]) -> bool:
+        v = get(doc)
+        try:
+            return isinstance(v, str) and search(v) is not None
+        except TypeError:  # a precompiled bytes pattern never matches str
+            return False
+
+    return check
+
+
+def _exists_check(path: Any, want: bool) -> Predicate:
+    return lambda doc: path_exists(doc, path) == want
+
+
+def _range_check(
+    get: Callable[[Any], Any], pairs: list[tuple[Callable[[Any, Any], Any], Any]]
+) -> Predicate:
+    """One lookup of the path, then every bound on it in turn."""
+    if len(pairs) == 2:  # a [lo, hi) window: the shape of every pushed range
+        (lo_op, lo), (hi_op, hi) = pairs
+
+        def window(doc: Mapping[str, Any]) -> bool:
+            v = get(doc)
+            if v is None:
                 return False
-    return True
+            try:
+                return bool(lo_op(v, lo) and hi_op(v, hi))
+            except TypeError:
+                return False
+
+        return window
+
+    def bounded(doc: Mapping[str, Any]) -> bool:
+        v = get(doc)
+        if v is None:
+            return False
+        try:
+            for op, arg in pairs:
+                if not op(v, arg):
+                    return False
+        except TypeError:
+            return False
+        return True
+
+    return bounded
+
+
+def _any_of(preds: list[Predicate]) -> Predicate:
+    def check(doc: Mapping[str, Any]) -> bool:
+        for pred in preds:
+            if pred(doc):
+                return True
+        return False
+
+    return check
+
+
+def _all_of(checks: list[Predicate]) -> Predicate:
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(doc: Mapping[str, Any]) -> bool:
+        for c in checks:
+            if not c(doc):
+                return False
+        return True
+
+    return check
 
 
 _ACCUMULATORS = {
@@ -265,10 +434,9 @@ def apply_pipeline_stages(
             raise DatabaseError(f"each stage must have exactly one key: {stage}")
         op, arg = next(iter(stage.items()))
         if op == "$match":
-            # same up-front validation as the planner path: malformed
-            # operators must not pass just because no doc reaches them
-            validate_filter(arg)
-            docs = [d for d in docs if matches_filter(d, arg)]
+            # compiling validates up front, like the planner path:
+            # malformed operators must not pass because no doc reaches them
+            docs = list(filter(compile_filter(arg), docs))
         elif op == "$group":
             docs = _group_docs(docs, arg)
         elif op == "$sort":
@@ -643,7 +811,7 @@ class ProvenanceDatabase:
                 return None
         return out
 
-    def _range_lookup(self, field: str, ops: Mapping[str, Any]) -> set[int]:
+    def _range_lookup(self, field: str, ops: Iterable[tuple[str, Any]]) -> set[int]:
         """Candidates for all range ops on one field, as a single slice.
 
         Bounds combine before slicing so ``{"$gte": a, "$lt": b}`` costs
@@ -657,7 +825,7 @@ class ProvenanceDatabase:
         # ids are non-negative, so (arg, -1) sorts before every entry
         # with value == arg and (arg, n_docs) after them
         lo, hi = 0, len(entries)
-        for op, arg in ops.items():
+        for op, arg in ops:
             if not _numeric(arg):
                 lo, hi = 0, 0
                 break
@@ -673,16 +841,20 @@ class ProvenanceDatabase:
         out.update(doc_id for _, doc_id in entries[lo:hi])
         return out
 
-    def _candidates_for(self, path: str, cond: Any) -> list[tuple[str, set[int]]]:
-        """Access paths usable for one ``path: cond`` entry."""
+    def _candidates_for(
+        self, path: str, cond: Any
+    ) -> tuple[list[tuple[str, set[int]]], list[tuple[str, Any]]]:
+        """Hash-index access paths for one ``path: cond`` entry, plus its
+        range operators when ``path`` is range-indexed (the caller fuses
+        those per path into one window)."""
         out: list[tuple[str, set[int]]] = []
-        if not (isinstance(cond, Mapping) and any(k.startswith("$") for k in cond)):
+        if not _is_operator_doc(cond):
             if path in self._eq_index:
                 ids = self._eq_lookup(path, cond)
                 if ids is not None:
                     out.append((f"eq({path})", ids))
-            return out
-        range_ops: dict[str, Any] = {}
+            return out, []
+        range_ops: list[tuple[str, Any]] = []
         for op, arg in cond.items():
             if op == "$eq" and path in self._eq_index:
                 ids = self._eq_lookup(path, arg)
@@ -693,27 +865,24 @@ class ProvenanceDatabase:
                 if ids is not None:
                     out.append((f"in({path})", ids))
             elif op in _RANGE_OPS and path in self._range_entries:
-                range_ops[op] = arg
-        if range_ops:
-            out.append((f"range({path})", self._range_lookup(path, range_ops)))
-        return out
+                range_ops.append((op, arg))
+        return out, range_ops
 
     def _plan(self, filt: Mapping[str, Any]) -> tuple[set[int] | None, list[str]]:
         """Candidate doc ids (superset of matches) + the access paths used.
 
         None means no index applies and the query must scan.  Candidates
-        are always re-verified with :func:`matches_filter`, so every
-        access path only has to guarantee it never *misses* a matching
-        doc.
+        are always re-verified with the compiled filter, so every access
+        path only has to guarantee it never *misses* a matching doc.
+        Nested ``$and`` entries join the top-level conjunction, so range
+        bounds on one indexed path become one window however they are
+        split across branches.
         """
         sets: list[tuple[str, set[int]]] = []
-        for path, cond in filt.items():
-            if path == "$and":
-                for sub in cond:
-                    cand, used = self._plan(sub)
-                    if cand is not None:
-                        sets.append(("+".join(used), cand))
-            elif path == "$or":
+        # path -> (slot in sets, range ops); the slot is filled below
+        windows: dict[str, tuple[int, list[tuple[str, Any]]]] = {}
+        for path, cond in _conjuncts(filt):
+            if path == "$or":
                 branch_sets: list[set[int]] = []
                 branch_used: list[str] = []
                 for sub in cond:
@@ -728,8 +897,16 @@ class ProvenanceDatabase:
                     for s in branch_sets:
                         union |= s
                     sets.append((f"or({','.join(branch_used)})", union))
-            else:
-                sets.extend(self._candidates_for(path, cond))
+                continue
+            found, range_ops = self._candidates_for(path, cond)
+            sets.extend(found)
+            if range_ops:
+                if path not in windows:
+                    windows[path] = (len(sets), [])
+                    sets.append((f"range({path})", set()))
+                windows[path][1].extend(range_ops)
+        for path, (slot, ops) in windows.items():
+            sets[slot] = (f"range({path})", self._range_lookup(path, ops))
         if not sets:
             return None, []
         # most selective (smallest) first; intersection can only shrink
@@ -746,13 +923,14 @@ class ProvenanceDatabase:
         """Matching docs (internal references) in insertion order; lock held."""
         if not filt:
             return list(self._docs)
-        validate_filter(filt)
+        matches = compile_filter(filt)
         cand, _ = self._plan(filt)
-        if cand is None:
-            return [d for d in self._docs if matches_filter(d, filt)]
-        return [
-            self._docs[i] for i in sorted(cand) if matches_filter(self._docs[i], filt)
-        ]
+        docs = self._docs
+        if cand is None or len(cand) == len(docs):
+            # every document is a candidate: a scan in insertion order
+            # gives the sorted-id order without sorting the ids
+            return list(filter(matches, docs))
+        return [docs[i] for i in sorted(cand) if matches(docs[i])]
 
     def explain(self, filt: Mapping[str, Any] | None = None) -> dict[str, Any]:
         """Describe how a filter would execute (without running it fully).

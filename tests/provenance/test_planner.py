@@ -288,6 +288,21 @@ class TestExplain:
         assert plan["access_paths"] == ["range(duration)"]
         assert plan["candidates"] == 5
 
+    def test_range_split_across_and_is_one_window(self, db):
+        # the shape pushdown sends for a range: bounds in separate branches
+        filt = {
+            "$and": [
+                {"duration": {"$gte": 10.0}},
+                {"$and": [{"status": "FAILED"}, {"duration": {"$lt": 20.0}}]},
+            ]
+        }
+        plan = db.explain(filt)
+        assert plan["access_paths"] == ["range(duration)", "eq(status)"]
+        assert plan["candidates"] == 5
+        assert [d["task_id"] for d in db.find(filt)] == [
+            f"t{i}" for i in range(10, 20, 2)
+        ]
+
     def test_or_of_indexable_branches(self, db):
         plan = db.explain({"$or": [{"status": "FAILED"}, {"workflow_id": "w1"}]})
         assert plan["strategy"] == "index"
