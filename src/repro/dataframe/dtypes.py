@@ -24,6 +24,15 @@ OBJECT = "object"
 
 _NUMERIC = (FLOAT, INT)
 
+_NONE_TYPE = type(None)
+_BOOL_TYPES = (bool, np.bool_)
+_INT_TYPES = (int, np.integer)
+_FLOAT_TYPES = (float, np.floating)
+#: value types numpy converts exactly as ``float(v)`` / ``int(v)`` would
+_PLAIN_FLOAT_TYPES = frozenset({float, _NONE_TYPE})
+_PLAIN_INT_TYPES = frozenset({int})
+_PLAIN_OBJECT_TYPES = frozenset({str, _NONE_TYPE})
+
 
 def is_numeric_dtype(dtype: str) -> bool:
     return dtype in _NUMERIC
@@ -44,16 +53,27 @@ def infer_dtype(values: Iterable[Any]) -> str:
     ``object``.  All-null columns default to ``float64`` so they behave
     like empty numeric columns under aggregation.
     """
+    return dtype_of_types(set(map(type, values)))
+
+
+def dtype_of_types(types: Iterable[type]) -> str:
+    """:func:`infer_dtype` of any values whose types are exactly ``types``.
+
+    The type set alone decides the storage class: a NaN is a float, so
+    it can only sit in a column that is already ``float64`` (with ints
+    or floats) or ``object`` (with bools, which a null also makes
+    ``object``) — whether a float is NaN never changes the answer.
+    """
     saw_float = saw_int = saw_bool = saw_null = saw_value = False
-    for v in values:
+    for t in types:
         saw_value = True
-        if is_null(v):
+        if t is _NONE_TYPE:
             saw_null = True
-        elif isinstance(v, bool) or isinstance(v, np.bool_):
+        elif issubclass(t, _BOOL_TYPES):
             saw_bool = True
-        elif isinstance(v, (int, np.integer)):
+        elif issubclass(t, _INT_TYPES):
             saw_int = True
-        elif isinstance(v, (float, np.floating)):
+        elif issubclass(t, _FLOAT_TYPES):
             saw_float = True
         else:
             return OBJECT
@@ -73,14 +93,27 @@ def infer_dtype(values: Iterable[Any]) -> str:
 def to_storage(values: list[Any], dtype: str) -> np.ndarray:
     """Materialise ``values`` as a numpy array of the storage class."""
     if dtype == FLOAT:
+        if set(map(type, values)) <= _PLAIN_FLOAT_TYPES:
+            # one C-level conversion (None -> nan); NaNs are rewritten so
+            # every null is the canonical np.nan, bit for bit
+            arr = np.array(values, dtype=np.float64)
+            nulls = np.isnan(arr)
+            if nulls.any():
+                arr[nulls] = np.nan
+            return arr
         return np.array(
             [np.nan if is_null(v) else float(v) for v in values], dtype=np.float64
         )
     if dtype == INT:
+        if set(map(type, values)) <= _PLAIN_INT_TYPES:
+            return np.array(values, dtype=np.int64)
         return np.array([int(v) for v in values], dtype=np.int64)
     if dtype == BOOL:
         return np.array([bool(v) for v in values], dtype=np.bool_)
     arr = np.empty(len(values), dtype=object)
+    if set(map(type, values)) <= _PLAIN_OBJECT_TYPES:
+        arr[:] = values  # no NaN to rewrite, no sequence to unpack
+        return arr
     for i, v in enumerate(values):
         arr[i] = None if is_null(v) else v
     return arr

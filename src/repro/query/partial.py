@@ -27,6 +27,15 @@ is enforced two ways:
   and the engine re-runs the classic gather-everything path, so an
   unsupported pipeline is never wrong, only unaccelerated.
 
+Shard-side, a partial is built column by column.  Per plan, each
+projected field's dotted path is split once; one pass per path level
+reads a value list per field over all matched documents (documents the
+plain walk could misread go through the per-document projector).  The
+per-column dtype reports come from each list's set of value types, and
+the local frame the terminal runs on is built straight from the lists.
+Only the rows actually shipped (top-k survivors, project-mode rows) are
+projected as documents.
+
 The module deliberately depends only on the query IR and the DataFrame
 engine — never on a concrete storage backend.  Backends opt in by
 exposing ``execute_partial(plan) -> list[ShardPartial]``; any backend
@@ -37,7 +46,9 @@ exposing ``execute_partial(plan) -> list[ShardPartial]``; any backend
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -75,7 +86,24 @@ _NULL = "null"
 #: evaluation can disagree per-row.
 _BIG_INT = 2**53
 
-_MISSING = object()
+
+class _Missing:
+    """Type of :data:`_MISSING`: a column's type set shows absent rows."""
+
+    __slots__ = ()
+
+
+#: a field the row does not carry (``None`` is a present null)
+_MISSING = _Missing()
+_MISSING_ONLY = frozenset({_Missing})
+_INT_ONLY = frozenset({int})
+_DICT_ONLY = frozenset({dict})
+#: stands in for a row whose path ended above the current level
+_EMPTY: dict[str, Any] = {}
+
+#: ``flatten_record``'s default depth: a mapping this many levels down
+#: is an opaque value
+_MAX_DEPTH = 4
 
 #: Aggregations with a per-shard decomposition.  median/std/var/nunique
 #: need the full value multiset and stay coordinator-side.
@@ -256,7 +284,7 @@ def _project_flat(
     record: Mapping[str, Any],
     wanted: frozenset,
     ancestors: frozenset,
-    max_depth: int = 4,
+    max_depth: int = _MAX_DEPTH,
 ) -> dict[str, Any]:
     """``{k: v for k, v in flatten_record(record) if k in wanted}``,
     without flattening the unwanted subtrees.
@@ -264,9 +292,9 @@ def _project_flat(
     Byte-compatible with :func:`repro.dataframe.frame.flatten_record`
     (same traversal order, same ``max_depth`` opaque-value cutoff, same
     empty-dict leaves), but per document it touches only the keys on a
-    wanted field's path — the difference between O(doc width) and
-    O(used fields) per scanned document, which is most of the scatter
-    path's win on wide documents.
+    wanted field's path.  The shard executor reads columns through
+    :func:`_project_column` and calls this only for the documents that
+    column walk cannot answer, and to build the row payloads it ships.
     """
     out: dict[str, Any] = {}
 
@@ -293,152 +321,296 @@ def _project_flat(
     return out
 
 
-def _execute(docs: Iterable[Mapping[str, Any]], plan: PushPlan) -> ShardPartial:
-    flats: list[tuple[int, dict[str, Any]]] = []
-    if plan.fields is not None:
-        wanted = frozenset(plan.fields)
-        ancestors = frozenset(
-            a for f in plan.fields for a in _ancestors(f)
-        )
-        for i, doc in enumerate(docs):
-            seq = doc.get(SEQ_FIELD, i)
-            flats.append((seq, _project_flat(doc, wanted, ancestors)))
-    else:
-        for i, doc in enumerate(docs):
-            flat = flatten_record(doc)
-            seq = flat.pop(SEQ_FIELD, i)
-            flats.append((seq, flat))
-    # local frame order must equal global order restricted to this
-    # shard: concurrent writers can transpose neighbours in raw shard
-    # order, exactly like the store's own gather path re-sorts
-    flats.sort(key=lambda t: t[0])
+def _odd_keys(d: dict[Any, Any]) -> bool:
+    """Whether ``d`` has a non-``str`` key, which the walk spells via
+    ``str()`` and ``dict.get`` cannot find."""
+    return any(type(k) is not str for k in d)
 
-    part = ShardPartial(rows=len(flats))
-    if plan.mode != "project":
-        part.reports = _build_reports(flats, plan)
+
+def _project_column(
+    docs: list[Any], field: str, wanted: frozenset, ancestors: frozenset
+) -> list[Any]:
+    """``[_project_flat(d, wanted, ancestors).get(field, _MISSING) for d
+    in docs]``, walked one path level at a time over the whole column.
+
+    The path is split once; each level is one C-level ``dict.get`` pass
+    over the column.  A document whose value the plain walk could get
+    wrong is answered by :func:`_project_flat` instead: a non-``dict``
+    document or ``Mapping`` on the path or at the leaf, a literal dotted
+    key spelling a split of the path (``{"a.b": …}`` for ``a.b.c``), a
+    miss in a ``dict`` with non-``str`` keys, or a path longer than the
+    flatten depth.  A ``dict`` leaf follows the flatten rule: an empty
+    one reads ``{}``, a non-empty one is not a value.  (One shape stays
+    outside this: a ``dict`` holding both ``"1"`` and ``1``, where the
+    walk keeps whichever comes last and this reads the ``str`` key.)
+    """
+    parts = field.split(".")
+    if len(parts) > _MAX_DEPTH + 1:
+        return [
+            _project_flat(d, wanted, ancestors).get(field, _MISSING)
+            for d in docs
+        ]
+    redo: set[int] = set()  # rows the per-document walk answers
+    cur = docs
+    if set(map(type, docs)) - _DICT_ONLY:
+        redo.update(i for i, d in enumerate(docs) if type(d) is not dict)
+        cur = [_EMPTY if i in redo else d for i, d in enumerate(docs)]
+    last = len(parts) - 1
+    for level, part in enumerate(parts):
+        for j in range(level + 2, len(parts) + 1):
+            dotted = ".".join(parts[level:j])
+            if any(map(dict.__contains__, cur, repeat(dotted))):
+                redo.update(i for i, d in enumerate(cur) if dotted in d)
+        vals = list(map(dict.get, cur, repeat(part), repeat(_MISSING)))
+        types = set(map(type, vals))
+        if level < last:
+            if types != _DICT_ONLY:
+                for i, v in enumerate(vals):
+                    if type(v) is dict:
+                        continue
+                    if v is _MISSING:
+                        if _odd_keys(cur[i]):
+                            redo.add(i)
+                    elif type(v) not in _LEAF_TYPES and isinstance(v, Mapping):
+                        redo.add(i)
+                    vals[i] = _EMPTY  # the field is absent below here
+            cur = vals
+            continue
+        odd = {
+            t for t in types
+            if t not in _LEAF_TYPES
+            and (t is dict or t is _Missing or issubclass(t, Mapping))
+        }
+        if odd:
+            for i, v in enumerate(vals):
+                t = type(v)
+                if t not in odd:
+                    continue
+                if t is _Missing:
+                    if _odd_keys(cur[i]):
+                        redo.add(i)
+                elif t is dict:
+                    if last < _MAX_DEPTH:
+                        vals[i] = {} if not v else _MISSING
+                else:
+                    redo.add(i)
+    for i in redo:
+        vals[i] = _project_flat(docs[i], wanted, ancestors).get(field, _MISSING)
+    return vals
+
+
+class _Shard:
+    """One shard's matched documents in global order, read column-major.
+
+    ``rows`` are the source documents (or, without a field projection,
+    their flattened forms) sorted by global sequence, kept for the few
+    rows shipped whole.  :meth:`read_columns` fills ``columns`` — one
+    value per row per field, :data:`_MISSING` where the row lacks it —
+    and ``types``, the set of value types per column, which decides the
+    column's dtype.
+    """
+
+    def __init__(
+        self,
+        docs: Iterable[Mapping[str, Any]],
+        fields: tuple[str, ...] | None,
+    ):
+        self.fields = fields
+        if fields is None:
+            rows: list[Any] = []
+            seqs: list[Any] = []
+            for i, doc in enumerate(docs):
+                flat = flatten_record(doc)
+                seqs.append(flat.pop(SEQ_FIELD, i))
+                rows.append(flat)
+        else:
+            rows = docs if isinstance(docs, list) else list(docs)
+            if set(map(type, rows)) - _DICT_ONLY:
+                seqs = [doc.get(SEQ_FIELD, i) for i, doc in enumerate(rows)]
+            else:
+                seqs = list(
+                    map(dict.get, rows, repeat(SEQ_FIELD), range(len(rows)))
+                )
+            self.wanted = frozenset(fields)
+            self.ancestors = frozenset(a for f in fields for a in _ancestors(f))
+        # local frame order must equal global order restricted to this
+        # shard: concurrent writers can transpose neighbours in raw
+        # shard order, exactly like the store's own gather path re-sorts
+        if any(map(operator.lt, islice(seqs, 1, None), seqs)):
+            order = sorted(range(len(seqs)), key=seqs.__getitem__)
+            seqs = [seqs[i] for i in order]
+            rows = [rows[i] for i in order]
+        self.n = len(rows)
+        self.seqs = seqs
+        self.rows = rows
+        self.columns: dict[str, list[Any]] = {}
+        self.types: dict[str, set[type]] = {}
+        self.first_pos: dict[str, int] = {}  # without fields: key position
+
+    def payload(self, i: int) -> dict[str, Any]:
+        """Row ``i`` as shipped: the projected (or flattened) document."""
+        if self.fields is None:
+            return self.rows[i]
+        return _project_flat(self.rows[i], self.wanted, self.ancestors)
+
+    def read_columns(self) -> None:
+        if self.fields is None:
+            # each document was flattened once; transpose the rows
+            for flat in self.rows:
+                for pos, k in enumerate(flat):
+                    self.first_pos.setdefault(k, pos)
+            cols = {
+                k: list(map(dict.get, self.rows, repeat(k), repeat(_MISSING)))
+                for k in self.first_pos
+            }
+        else:
+            cols = {
+                f: _project_column(self.rows, f, self.wanted, self.ancestors)
+                for f in self.fields
+            }
+        self.columns = cols
+        self.types = {k: set(map(type, v)) for k, v in cols.items()}
+
+    def reports(self, guard_types: Iterable[str]) -> dict[str, ColumnReport]:
+        """The per-column facts the combine needs, in order of first
+        appearance (row, then position in the row or in ``plan.fields``).
+
+        With a field projection only the projected columns exist;
+        without one every column does, so the coordinator can rebuild
+        candidate frames with globally correct dtypes and
+        first-appearance column order.
+        """
+        guard = set(guard_types)
+        found = []
+        for idx, (name, vals) in enumerate(self.columns.items()):
+            first = _first_present(vals, self.types[name])
+            if first is None:
+                continue
+            report = _report(
+                vals, self.types[name], name in guard,
+                first_seq=self.seqs[first],
+                first_pos=self.first_pos.get(name, 0),
+            )
+            found.append((first, idx, name, report))
+        found.sort(key=lambda t: t[:2])
+        return {name: report for _, _, name, report in found}
+
+    def frame(
+        self, names: Iterable[str], reports: Mapping[str, ColumnReport]
+    ) -> DataFrame:
+        """The local frame: ``names`` plus the sequence column.
+
+        Values come straight from the columns, an absent value read as
+        ``None``; a column's dtype is its report's (what inference over
+        those values gives).  A column absent from every row is all
+        null: the rows it would contribute to the global frame are
+        nulls there too, and the combine separately falls back when a
+        used column is absent from *every* shard.
+        """
+        cols: dict[str, Column] = {}
+        for name in names:
+            report = reports.get(name)
+            if report is None:
+                cols[name] = Column(name, [None] * self.n)
+                continue
+            vals = self.columns[name]
+            if _Missing in self.types[name]:
+                vals = [None if v is _MISSING else v for v in vals]
+            cols[name] = Column(name, vals, dtype=report.dtype)
+        cols[SEQ_FIELD] = Column(SEQ_FIELD, self.seqs, dtype=dt.INT)
+        return DataFrame._from_columns(cols, self.n)
+
+
+def _first_present(vals: list[Any], types: set[type]) -> int | None:
+    if _Missing not in types:
+        return 0 if vals else None
+    return next((i for i, v in enumerate(vals) if v is not _MISSING), None)
+
+
+def _report(
+    vals: list[Any],
+    types: set[type],
+    guarded: bool,
+    first_seq: int,
+    first_pos: int,
+) -> ColumnReport:
+    """A column's facts from its values and their type set.
+
+    Mirrors per-value observation: ``None`` and float NaN are null, a
+    missing value is absent (and makes the dtype nullable), and only
+    valid values name their type.  The ±2**53 scan runs only when an
+    int type occurs.
+    """
+    present = types - _MISSING_ONLY
+    n_present = len(vals)
+    if len(present) != len(types):
+        n_present -= sum(map(operator.is_, vals, repeat(_MISSING)))
+    n_null = 0
+    if dt._NONE_TYPE in present:
+        n_null = sum(map(operator.is_, vals, repeat(None)))
+    no_valid: set[type] = set()  # float types whose every value is NaN
+    for t in present:
+        if not issubclass(t, float):
+            continue
+        vs = vals if len(types) == 1 else [v for v in vals if type(v) is t]
+        nan = (
+            sum(map(math.isnan, vs)) if t is float
+            else sum(1 for v in vs if v != v)
+        )
+        n_null += nan
+        if nan == len(vs):
+            no_valid.add(t)
+    big = False
+    int_types = {
+        t for t in present
+        if issubclass(t, dt._INT_TYPES) and not issubclass(t, dt._BOOL_TYPES)
+    }
+    if int_types == _INT_ONLY:
+        ints = vals if len(types) == 1 else [v for v in vals if type(v) is int]
+        big = max(ints) >= _BIG_INT or min(ints) <= -_BIG_INT
+    elif int_types:
+        big = any(
+            v >= _BIG_INT or v <= -_BIG_INT
+            for v in vals if type(v) in int_types
+        )
+    nullable = present | {dt._NONE_TYPE} if n_present < len(vals) else present
+    return ColumnReport(
+        dtype=dt.dtype_of_types(nullable),
+        first_seq=first_seq,
+        first_pos=first_pos,
+        n_present=n_present,
+        n_valid=n_present - n_null,
+        big_int=big,
+        types=frozenset(
+            t.__name__ for t in present
+            if t is not dt._NONE_TYPE and t not in no_valid
+        ) if guarded else frozenset(),
+    )
+
+
+def _execute(docs: Iterable[Mapping[str, Any]], plan: PushPlan) -> ShardPartial:
+    shard = _Shard(docs, plan.fields)
+    part = ShardPartial(rows=shard.n)
     if plan.mode == "project":
-        _run_project(flats, plan, part)
-    elif plan.mode == "topk":
-        _run_topk(flats, plan, part)
+        part.docs = [
+            (seq, shard.payload(i)) for i, seq in enumerate(shard.seqs)
+        ]
+        part.payload_docs = len(part.docs)
+        part.payload_cells = sum(len(d) for _, d in part.docs)
+        return part
+    shard.read_columns()
+    part.reports = shard.reports(plan.guard_types)
+    work = shard.frame(plan.local_columns, part.reports)
+    if plan.mode == "topk":
+        _run_topk(shard, work, plan, part)
     else:
-        _run_partial(flats, plan, part)
+        _run_partial(work, plan, part)
     return part
 
 
-def _build_reports(
-    flats: list[tuple[int, dict[str, Any]]], plan: PushPlan
-) -> dict[str, ColumnReport]:
-    """One linear scan producing the per-column facts the combine needs.
-
-    With a field projection only the projected columns are inspected
-    (O(used) per document); without one every column is walked so the
-    coordinator can rebuild candidate frames with globally correct
-    dtypes and first-appearance column order.
-    """
-    guard = set(plan.guard_types)
-    # acc: name -> [first_seq, first_pos, saw_bool, saw_int, saw_float,
-    #              saw_other, saw_null, n_present, n_valid, big, types]
-    acc: dict[str, list[Any]] = {}
-
-    def observe(name: str, v: Any, seq: int, pos: int) -> None:
-        a = acc.get(name)
-        if a is None:
-            a = acc[name] = [
-                seq, pos, False, False, False, False, False, 0, 0, False, None,
-            ]
-            if name in guard:
-                a[10] = set()
-        a[7] += 1
-        if v is None or (isinstance(v, float) and v != v):
-            a[6] = True
-            return
-        a[8] += 1
-        if isinstance(v, (bool, np.bool_)):
-            a[2] = True
-        elif isinstance(v, (int, np.integer)):
-            a[3] = True
-            if v >= _BIG_INT or v <= -_BIG_INT:
-                a[9] = True
-        elif isinstance(v, (float, np.floating)):
-            a[4] = True
-        else:
-            a[5] = True
-        if a[10] is not None:
-            a[10].add(type(v).__name__)
-
-    if plan.fields is None:
-        for seq, flat in flats:
-            for pos, (k, v) in enumerate(flat.items()):
-                observe(k, v, seq, pos)
-    else:
-        for seq, flat in flats:
-            for k in plan.fields:
-                v = flat.get(k, _MISSING)
-                if v is not _MISSING:
-                    observe(k, v, seq, 0)
-
-    rows = len(flats)
-    reports: dict[str, ColumnReport] = {}
-    for name, a in acc.items():
-        saw_null = a[6] or a[7] < rows
-        if a[5]:
-            dtype = dt.OBJECT
-        elif a[2]:
-            dtype = dt.OBJECT if (a[3] or a[4] or saw_null) else dt.BOOL
-        elif a[4] or (a[3] and saw_null):
-            dtype = dt.FLOAT
-        elif a[3]:
-            dtype = dt.INT
-        else:
-            dtype = dt.FLOAT  # all nulls
-        reports[name] = ColumnReport(
-            dtype=dtype,
-            first_seq=a[0],
-            first_pos=a[1],
-            n_present=a[7],
-            n_valid=a[8],
-            big_int=a[9],
-            types=frozenset(a[10]) if a[10] is not None else frozenset(),
-        )
-    return reports
-
-
-def _local_frame(
-    flats: list[tuple[int, dict[str, Any]]], plan: PushPlan
-) -> DataFrame:
-    """Materialise only the columns local execution touches.
-
-    A used column absent from every local document becomes an all-null
-    column (the rows it would contribute to the global frame are nulls
-    there too); the combine separately falls back when a used column is
-    absent from *every* shard, because the classic path raises then.
-    """
-    cols: dict[str, Column] = {}
-    for name in plan.local_columns:
-        cols[name] = Column(name, [flat.get(name) for _, flat in flats])
-    cols[SEQ_FIELD] = Column(SEQ_FIELD, [s for s, _ in flats], dtype=dt.INT)
-    return DataFrame._from_columns(cols, len(flats))
-
-
-def _prune(flat: dict[str, Any], plan: PushPlan) -> dict[str, Any]:
-    if plan.fields is None:
-        return flat
-    fields = set(plan.fields)
-    return {k: v for k, v in flat.items() if k in fields}
-
-
-def _run_project(
-    flats: list[tuple[int, dict[str, Any]]], plan: PushPlan, part: ShardPartial
-) -> None:
-    part.docs = [(seq, _prune(flat, plan)) for seq, flat in flats]
-    part.payload_docs = len(part.docs)
-    part.payload_cells = sum(len(d) for _, d in part.docs)
-
-
 def _run_topk(
-    flats: list[tuple[int, dict[str, Any]]], plan: PushPlan, part: ShardPartial
+    shard: _Shard, work: DataFrame, plan: PushPlan, part: ShardPartial
 ) -> None:
-    work = _local_frame(flats, plan)
     for st in plan.local_steps:
         if isinstance(st, q.Filter):
             work = work.filter(evaluate_predicate(st.predicate, work))
@@ -446,19 +618,16 @@ def _run_topk(
             work = work.sort_values(list(st.keys), list(st.ascending))
     direction, k = plan.fetch if plan.fetch is not None else ("head", 0)
     work = work.head(k) if direction == "head" else work.tail(k)
-    by_seq = dict(flats)
+    by_seq = {seq: i for i, seq in enumerate(shard.seqs)}
     part.docs = [
-        (int(sv), _prune(by_seq[int(sv)], plan))
+        (int(sv), shard.payload(by_seq[int(sv)]))
         for sv in work.column(SEQ_FIELD).to_numpy()
     ]
     part.payload_docs = len(part.docs)
     part.payload_cells = sum(len(d) for _, d in part.docs)
 
 
-def _run_partial(
-    flats: list[tuple[int, dict[str, Any]]], plan: PushPlan, part: ShardPartial
-) -> None:
-    work = _local_frame(flats, plan)
+def _run_partial(work: DataFrame, plan: PushPlan, part: ShardPartial) -> None:
     for st in plan.local_steps:
         if isinstance(st, q.Filter):
             work = work.filter(evaluate_predicate(st.predicate, work))
@@ -484,13 +653,11 @@ def _run_partial(
         part.unique = sorted(seen.values(), key=lambda t: t[0])
         part.payload_cells = len(part.unique)
     elif isinstance(term, q.GroupAgg):
-        key_cols = [work.column(k) for k in term.keys]
         val_col = work.column(term.column)
         groups: dict[tuple, list[int]] = {}
-        for i in range(len(work)):
-            groups.setdefault(
-                tuple(_freeze(c[i]) for c in key_cols), []
-            ).append(i)
+        keys = zip(*(map(_freeze, work.column(k)) for k in term.keys))
+        for i, key in enumerate(keys):
+            groups.setdefault(key, []).append(i)
         part.groups = []
         cells = 0
         for key, idx in groups.items():

@@ -201,6 +201,46 @@ def test_async_gateway_keeps_falsy_admission():
     assert server.admission is admission  # never started; nothing to stop
 
 
+class _LenLLM:
+    """Answers every question with ``len(df)``."""
+
+    def complete(self, request):
+        from repro.llm.service import ChatResponse
+
+        return ChatResponse(
+            model=request.model, text="len(df)", prompt_tokens=1,
+            output_tokens=1, latency_s=0.0, truncated=False,
+        )
+
+
+def _db_tool(base_filter):
+    from repro.agent.context_manager import ContextManager
+    from repro.agent.tools.db_query import DatabaseQueryTool
+    from repro.provenance.query_api import QueryAPI
+    from repro.storage import ProvenanceDatabase
+
+    db = ProvenanceDatabase()
+    db.insert_many([
+        {"type": "task", "task_id": "t1"},
+        {"type": "task", "task_id": "t2"},
+        {"type": "workflow", "workflow_id": "w1"},
+    ])
+    cm = ContextManager(CaptureContext().broker).start()
+    return DatabaseQueryTool(QueryAPI(db), cm, _LenLLM(), base_filter=base_filter)
+
+
+def test_db_tool_without_base_filter_scopes_to_tasks():
+    tool = _db_tool(None)
+    assert tool.base_filter == {"type": "task"}
+    assert tool.invoke(question="how many?").data == 2
+
+
+def test_db_tool_keeps_an_explicit_empty_base_filter():
+    tool = _db_tool({})
+    assert tool.base_filter == {}  # "no base filter", not the task default
+    assert tool.invoke(question="how many?").data == 3
+
+
 # -- the lint is the regression net -----------------------------------------
 #
 # The tests above pin individual call sites; the seeded fixtures below
