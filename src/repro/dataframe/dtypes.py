@@ -31,7 +31,6 @@ _FLOAT_TYPES = (float, np.floating)
 #: value types numpy converts exactly as ``float(v)`` / ``int(v)`` would
 _PLAIN_FLOAT_TYPES = frozenset({float, _NONE_TYPE})
 _PLAIN_INT_TYPES = frozenset({int})
-_PLAIN_OBJECT_TYPES = frozenset({str, _NONE_TYPE})
 
 
 def is_numeric_dtype(dtype: str) -> bool:
@@ -111,9 +110,6 @@ def to_storage(values: list[Any], dtype: str) -> np.ndarray:
     if dtype == BOOL:
         return np.array([bool(v) for v in values], dtype=np.bool_)
     arr = np.empty(len(values), dtype=object)
-    if set(map(type, values)) <= _PLAIN_OBJECT_TYPES:
-        arr[:] = values  # no NaN to rewrite, no sequence to unpack
-        return arr
     for i, v in enumerate(values):
         arr[i] = None if is_null(v) else v
     return arr

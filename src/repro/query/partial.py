@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -98,6 +98,7 @@ _MISSING = _Missing()
 _MISSING_ONLY = frozenset({_Missing})
 _INT_ONLY = frozenset({int})
 _DICT_ONLY = frozenset({dict})
+_STR_ONLY = frozenset({str})
 #: stands in for a row whose path ended above the current level
 _EMPTY: dict[str, Any] = {}
 
@@ -321,204 +322,167 @@ def _project_flat(
     return out
 
 
-def _odd_keys(d: dict[Any, Any]) -> bool:
-    """Whether ``d`` has a non-``str`` key, which the walk spells via
-    ``str()`` and ``dict.get`` cannot find."""
-    return any(type(k) is not str for k in d)
+def _odd_rows(dicts: list[Any]) -> set[int]:
+    """Rows the plain walk cannot read: a non-``dict`` row, or one with a
+    non-``str`` key (the walk spells keys via ``str()``, which
+    ``dict.get`` cannot match).  One C-level pass over every key decides
+    the common all-``str`` case."""
+    if set(map(type, dicts)) <= _DICT_ONLY and set(
+        map(type, chain.from_iterable(dicts))
+    ) <= _STR_ONLY:
+        return set()
+    return {
+        i for i, d in enumerate(dicts)
+        if type(d) is not dict or any(type(k) is not str for k in d)
+    }
 
 
-def _project_column(
-    docs: list[Any], field: str, wanted: frozenset, ancestors: frozenset
-) -> list[Any]:
+def _project_column(docs: list[Any], field: str, odd: set[int]) -> list[Any]:
     """``[_project_flat(d, wanted, ancestors).get(field, _MISSING) for d
-    in docs]``, walked one path level at a time over the whole column.
+    in docs]`` for any ``wanted`` holding ``field``, walked one path
+    level at a time over the whole column.
 
-    The path is split once; each level is one C-level ``dict.get`` pass
-    over the column.  A document whose value the plain walk could get
-    wrong is answered by :func:`_project_flat` instead: a non-``dict``
-    document or ``Mapping`` on the path or at the leaf, a literal dotted
-    key spelling a split of the path (``{"a.b": …}`` for ``a.b.c``), a
-    miss in a ``dict`` with non-``str`` keys, or a path longer than the
-    flatten depth.  A ``dict`` leaf follows the flatten rule: an empty
-    one reads ``{}``, a non-empty one is not a value.  (One shape stays
-    outside this: a ``dict`` holding both ``"1"`` and ``1``, where the
-    walk keeps whichever comes last and this reads the ``str`` key.)
+    ``odd`` is :func:`_odd_rows` of ``docs``.  The path is split once;
+    each level is one C-level ``dict.get`` pass over the column.  A
+    document whose value the plain walk could get wrong is answered by
+    :func:`_project_flat` instead: a non-``dict`` document or
+    ``Mapping`` on the path or at the leaf, a ``dict`` on the path with
+    a non-``str`` key, a literal dotted key spelling a split of the path
+    (``{"a.b": …}`` for ``a.b.c``), or a path longer than the flatten
+    depth.  Every other document has exactly one route to the field,
+    the plain one.  A ``dict`` leaf follows the flatten rule: an empty
+    one reads ``{}``, a non-empty one is not a value.
     """
+    # the walk reaches ``field`` only through its own ancestors, so the
+    # other wanted fields never change its value
+    wanted = frozenset((field,))
+    ancestors = frozenset(_ancestors(field))
     parts = field.split(".")
     if len(parts) > _MAX_DEPTH + 1:
         return [
             _project_flat(d, wanted, ancestors).get(field, _MISSING)
             for d in docs
         ]
-    redo: set[int] = set()  # rows the per-document walk answers
-    cur = docs
-    if set(map(type, docs)) - _DICT_ONLY:
-        redo.update(i for i, d in enumerate(docs) if type(d) is not dict)
-        cur = [_EMPTY if i in redo else d for i, d in enumerate(docs)]
+    redo = set(odd)  # rows the per-document walk answers
+    cur = [_EMPTY if i in redo else d for i, d in enumerate(docs)] if redo else docs
     last = len(parts) - 1
     for level, part in enumerate(parts):
+        if level:
+            redo |= _odd_rows(cur)
         for j in range(level + 2, len(parts) + 1):
             dotted = ".".join(parts[level:j])
             if any(map(dict.__contains__, cur, repeat(dotted))):
                 redo.update(i for i, d in enumerate(cur) if dotted in d)
         vals = list(map(dict.get, cur, repeat(part), repeat(_MISSING)))
-        types = set(map(type, vals))
         if level < last:
-            if types != _DICT_ONLY:
+            if set(map(type, vals)) != _DICT_ONLY:
                 for i, v in enumerate(vals):
                     if type(v) is dict:
                         continue
-                    if v is _MISSING:
-                        if _odd_keys(cur[i]):
-                            redo.add(i)
-                    elif type(v) not in _LEAF_TYPES and isinstance(v, Mapping):
+                    if type(v) not in _LEAF_TYPES and isinstance(v, Mapping):
                         redo.add(i)
                     vals[i] = _EMPTY  # the field is absent below here
             cur = vals
             continue
-        odd = {
-            t for t in types
-            if t not in _LEAF_TYPES
-            and (t is dict or t is _Missing or issubclass(t, Mapping))
+        maps = {
+            t for t in set(map(type, vals))
+            if t is dict or (
+                t not in _LEAF_TYPES and t is not _Missing
+                and issubclass(t, Mapping)
+            )
         }
-        if odd:
+        if maps:
             for i, v in enumerate(vals):
                 t = type(v)
-                if t not in odd:
-                    continue
-                if t is _Missing:
-                    if _odd_keys(cur[i]):
-                        redo.add(i)
-                elif t is dict:
+                if t is dict:
                     if last < _MAX_DEPTH:
                         vals[i] = {} if not v else _MISSING
-                else:
+                elif t in maps:
                     redo.add(i)
     for i in redo:
         vals[i] = _project_flat(docs[i], wanted, ancestors).get(field, _MISSING)
     return vals
 
 
-class _Shard:
-    """One shard's matched documents in global order, read column-major.
+def _sorted_rows(
+    docs: Iterable[Mapping[str, Any]], fields: tuple[str, ...] | None
+) -> tuple[list[Any], list[Any]]:
+    """The matched documents and their global sequence stamps, both in
+    global order.  Without a field projection the rows are the
+    flattened documents, each flattened once."""
+    if fields is None:
+        rows: list[Any] = []
+        seqs: list[Any] = []
+        for i, doc in enumerate(docs):
+            flat = flatten_record(doc)
+            seqs.append(flat.pop(SEQ_FIELD, i))
+            rows.append(flat)
+    else:
+        rows = docs if isinstance(docs, list) else list(docs)
+        if set(map(type, rows)) - _DICT_ONLY:
+            seqs = [doc.get(SEQ_FIELD, i) for i, doc in enumerate(rows)]
+        else:
+            seqs = list(map(dict.get, rows, repeat(SEQ_FIELD), range(len(rows))))
+    # local frame order must equal global order restricted to this
+    # shard: concurrent writers can transpose neighbours in raw shard
+    # order, exactly like the store's own gather path re-sorts
+    if any(map(operator.lt, islice(seqs, 1, None), seqs)):
+        order = sorted(range(len(seqs)), key=seqs.__getitem__)
+        seqs = [seqs[i] for i in order]
+        rows = [rows[i] for i in order]
+    return rows, seqs
 
-    ``rows`` are the source documents (or, without a field projection,
-    their flattened forms) sorted by global sequence, kept for the few
-    rows shipped whole.  :meth:`read_columns` fills ``columns`` — one
-    value per row per field, :data:`_MISSING` where the row lacks it —
-    and ``types``, the set of value types per column, which decides the
-    column's dtype.
+
+def _read_columns(
+    rows: list[Any], fields: tuple[str, ...] | None
+) -> tuple[dict[str, list[Any]], dict[str, int]]:
+    """One value list per column, :data:`_MISSING` where a row lacks the
+    column, and (for whole rows) each column's key position in the
+    first row carrying it.
+
+    With a field projection only the projected columns exist; without
+    one every column does, in order of first appearance, so the
+    coordinator can rebuild candidate frames with globally correct
+    dtypes and column order.
     """
+    if fields is None:
+        first_pos: dict[str, int] = {}
+        for flat in rows:
+            for pos, k in enumerate(flat):
+                first_pos.setdefault(k, pos)
+        columns = {
+            k: list(map(dict.get, rows, repeat(k), repeat(_MISSING)))
+            for k in first_pos
+        }
+        return columns, first_pos
+    odd = _odd_rows(rows)
+    return {f: _project_column(rows, f, odd) for f in fields}, {}
 
-    def __init__(
-        self,
-        docs: Iterable[Mapping[str, Any]],
-        fields: tuple[str, ...] | None,
-    ):
-        self.fields = fields
-        if fields is None:
-            rows: list[Any] = []
-            seqs: list[Any] = []
-            for i, doc in enumerate(docs):
-                flat = flatten_record(doc)
-                seqs.append(flat.pop(SEQ_FIELD, i))
-                rows.append(flat)
-        else:
-            rows = docs if isinstance(docs, list) else list(docs)
-            if set(map(type, rows)) - _DICT_ONLY:
-                seqs = [doc.get(SEQ_FIELD, i) for i, doc in enumerate(rows)]
-            else:
-                seqs = list(
-                    map(dict.get, rows, repeat(SEQ_FIELD), range(len(rows)))
-                )
-            self.wanted = frozenset(fields)
-            self.ancestors = frozenset(a for f in fields for a in _ancestors(f))
-        # local frame order must equal global order restricted to this
-        # shard: concurrent writers can transpose neighbours in raw
-        # shard order, exactly like the store's own gather path re-sorts
-        if any(map(operator.lt, islice(seqs, 1, None), seqs)):
-            order = sorted(range(len(seqs)), key=seqs.__getitem__)
-            seqs = [seqs[i] for i in order]
-            rows = [rows[i] for i in order]
-        self.n = len(rows)
-        self.seqs = seqs
-        self.rows = rows
-        self.columns: dict[str, list[Any]] = {}
-        self.types: dict[str, set[type]] = {}
-        self.first_pos: dict[str, int] = {}  # without fields: key position
 
-    def payload(self, i: int) -> dict[str, Any]:
-        """Row ``i`` as shipped: the projected (or flattened) document."""
-        if self.fields is None:
-            return self.rows[i]
-        return _project_flat(self.rows[i], self.wanted, self.ancestors)
-
-    def read_columns(self) -> None:
-        if self.fields is None:
-            # each document was flattened once; transpose the rows
-            for flat in self.rows:
-                for pos, k in enumerate(flat):
-                    self.first_pos.setdefault(k, pos)
-            cols = {
-                k: list(map(dict.get, self.rows, repeat(k), repeat(_MISSING)))
-                for k in self.first_pos
-            }
-        else:
-            cols = {
-                f: _project_column(self.rows, f, self.wanted, self.ancestors)
-                for f in self.fields
-            }
-        self.columns = cols
-        self.types = {k: set(map(type, v)) for k, v in cols.items()}
-
-    def reports(self, guard_types: Iterable[str]) -> dict[str, ColumnReport]:
-        """The per-column facts the combine needs, in order of first
-        appearance (row, then position in the row or in ``plan.fields``).
-
-        With a field projection only the projected columns exist;
-        without one every column does, so the coordinator can rebuild
-        candidate frames with globally correct dtypes and
-        first-appearance column order.
-        """
-        guard = set(guard_types)
-        found = []
-        for idx, (name, vals) in enumerate(self.columns.items()):
-            first = _first_present(vals, self.types[name])
-            if first is None:
-                continue
-            report = _report(
-                vals, self.types[name], name in guard,
-                first_seq=self.seqs[first],
-                first_pos=self.first_pos.get(name, 0),
-            )
-            found.append((first, idx, name, report))
-        found.sort(key=lambda t: t[:2])
-        return {name: report for _, _, name, report in found}
-
-    def frame(
-        self, names: Iterable[str], reports: Mapping[str, ColumnReport]
-    ) -> DataFrame:
-        """The local frame: ``names`` plus the sequence column.
-
-        Values come straight from the columns, an absent value read as
-        ``None``; a column's dtype is its report's (what inference over
-        those values gives).  A column absent from every row is all
-        null: the rows it would contribute to the global frame are
-        nulls there too, and the combine separately falls back when a
-        used column is absent from *every* shard.
-        """
-        cols: dict[str, Column] = {}
-        for name in names:
-            report = reports.get(name)
-            if report is None:
-                cols[name] = Column(name, [None] * self.n)
-                continue
-            vals = self.columns[name]
-            if _Missing in self.types[name]:
-                vals = [None if v is _MISSING else v for v in vals]
-            cols[name] = Column(name, vals, dtype=report.dtype)
-        cols[SEQ_FIELD] = Column(SEQ_FIELD, self.seqs, dtype=dt.INT)
-        return DataFrame._from_columns(cols, self.n)
+def _column_reports(
+    columns: Mapping[str, list[Any]],
+    seqs: list[Any],
+    first_pos: Mapping[str, int],
+    guard_types: Iterable[str],
+) -> dict[str, ColumnReport]:
+    """The per-column facts the combine needs, in order of first
+    appearance (row, then position in the row or in ``plan.fields``);
+    a column no row carries has no report."""
+    guard = set(guard_types)
+    found = []
+    for idx, (name, vals) in enumerate(columns.items()):
+        types = set(map(type, vals))
+        first = _first_present(vals, types)
+        if first is None:
+            continue
+        report = _report(
+            vals, types, name in guard,
+            first_seq=seqs[first],
+            first_pos=first_pos.get(name, 0),
+        )
+        found.append((first, idx, name, report))
+    found.sort(key=lambda t: t[:2])
+    return {name: report for _, _, name, report in found}
 
 
 def _first_present(vals: list[Any], types: set[type]) -> int | None:
@@ -588,29 +552,66 @@ def _report(
     )
 
 
+def _frame_from_columns(
+    names: Iterable[str],
+    columns: Mapping[str, list[Any]],
+    reports: Mapping[str, ColumnReport],
+    seqs: list[Any],
+) -> DataFrame:
+    """The local frame: ``names`` plus the sequence column.
+
+    Values come straight from the columns, an absent value read as
+    ``None``; a column's dtype is its report's (what inference over
+    those values gives).  A column absent from every row is all null:
+    the rows it would contribute to the global frame are nulls there
+    too, and the combine separately falls back when a used column is
+    absent from *every* shard.
+    """
+    n = len(seqs)
+    cols: dict[str, Column] = {}
+    for name in names:
+        report = reports.get(name)
+        if report is None:
+            cols[name] = Column(name, [None] * n)
+            continue
+        vals = columns[name]
+        if report.n_present < n:
+            vals = [None if v is _MISSING else v for v in vals]
+        cols[name] = Column(name, vals, dtype=report.dtype)
+    cols[SEQ_FIELD] = Column(SEQ_FIELD, seqs, dtype=dt.INT)
+    return DataFrame._from_columns(cols, n)
+
+
 def _execute(docs: Iterable[Mapping[str, Any]], plan: PushPlan) -> ShardPartial:
-    shard = _Shard(docs, plan.fields)
-    part = ShardPartial(rows=shard.n)
+    rows, seqs = _sorted_rows(docs, plan.fields)
+    part = ShardPartial(rows=len(rows))
     if plan.mode == "project":
-        part.docs = [
-            (seq, shard.payload(i)) for i, seq in enumerate(shard.seqs)
-        ]
-        part.payload_docs = len(part.docs)
-        part.payload_cells = sum(len(d) for _, d in part.docs)
-        return part
-    shard.read_columns()
-    part.reports = shard.reports(plan.guard_types)
-    work = shard.frame(plan.local_columns, part.reports)
-    if plan.mode == "topk":
-        _run_topk(shard, work, plan, part)
+        shipped = list(zip(seqs, range(len(rows))))
     else:
-        _run_partial(work, plan, part)
+        columns, first_pos = _read_columns(rows, plan.fields)
+        part.reports = _column_reports(columns, seqs, first_pos, plan.guard_types)
+        work = _frame_from_columns(plan.local_columns, columns, part.reports, seqs)
+        if plan.mode != "topk":
+            _run_partial(work, plan, part)
+            return part
+        by_seq = {seq: i for i, seq in enumerate(seqs)}
+        shipped = [(seq, by_seq[seq]) for seq in _topk_seqs(work, plan)]
+    if plan.fields is None:
+        part.docs = [(seq, rows[i]) for seq, i in shipped]
+    else:
+        # only shipped rows are projected as documents
+        wanted = frozenset(plan.fields)
+        ancestors = frozenset(a for f in plan.fields for a in _ancestors(f))
+        part.docs = [
+            (seq, _project_flat(rows[i], wanted, ancestors)) for seq, i in shipped
+        ]
+    part.payload_docs = len(part.docs)
+    part.payload_cells = sum(len(d) for _, d in part.docs)
     return part
 
 
-def _run_topk(
-    shard: _Shard, work: DataFrame, plan: PushPlan, part: ShardPartial
-) -> None:
+def _topk_seqs(work: DataFrame, plan: PushPlan) -> list[int]:
+    """Global sequence numbers of the local head/tail, in local order."""
     for st in plan.local_steps:
         if isinstance(st, q.Filter):
             work = work.filter(evaluate_predicate(st.predicate, work))
@@ -618,13 +619,7 @@ def _run_topk(
             work = work.sort_values(list(st.keys), list(st.ascending))
     direction, k = plan.fetch if plan.fetch is not None else ("head", 0)
     work = work.head(k) if direction == "head" else work.tail(k)
-    by_seq = {seq: i for i, seq in enumerate(shard.seqs)}
-    part.docs = [
-        (int(sv), shard.payload(by_seq[int(sv)]))
-        for sv in work.column(SEQ_FIELD).to_numpy()
-    ]
-    part.payload_docs = len(part.docs)
-    part.payload_cells = sum(len(d) for _, d in part.docs)
+    return [int(sv) for sv in work.column(SEQ_FIELD).to_numpy()]
 
 
 def _run_partial(work: DataFrame, plan: PushPlan, part: ShardPartial) -> None:
@@ -655,7 +650,11 @@ def _run_partial(work: DataFrame, plan: PushPlan, part: ShardPartial) -> None:
     elif isinstance(term, q.GroupAgg):
         val_col = work.column(term.column)
         groups: dict[tuple, list[int]] = {}
-        keys = zip(*(map(_freeze, work.column(k)) for k in term.keys))
+        keys = (
+            zip(*(map(_freeze, work.column(k)) for k in term.keys))
+            if term.keys
+            else repeat((), len(work))  # groupby([]): one group of every row
+        )
         for i, key in enumerate(keys):
             groups.setdefault(key, []).append(i)
         part.groups = []

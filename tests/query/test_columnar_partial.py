@@ -336,6 +336,8 @@ PIPELINES = (
     "df.groupby('k')['a.b'].sum()",
     "df.groupby('a')['a.b.c'].mean()",
     "df.groupby(['k', 'a.b'])['a'].count()",
+    "df.groupby([])['a.b'].count()",
+    "df.groupby([])['a.b.c'].sum()",
     "df['a.b'].unique()",
     "df.sort_values('a.b', ascending=False).head(3)",
     "df.sort_values('k').tail(2)",
@@ -374,11 +376,25 @@ def check_all(docs: list[Any]) -> None:
 # hostile documents
 # ---------------------------------------------------------------------------
 
-#: plain keys of the planned paths, and literal dotted keys spelling
-#: every split of them
+class Spelled:
+    """A non-``str`` key whose ``str()`` is a path segment or split."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __str__(self) -> str:
+        return self.text
+
+    def __repr__(self) -> str:
+        return f"Spelled({self.text!r})"
+
+
+#: plain keys of the planned paths, literal dotted keys spelling every
+#: split of them, and non-``str`` keys spelling a segment or a split
 KEYS = (
     "a", "b", "c", "d", "e", "f", "k",
     "a.b", "b.c", "c.d", "d.e", "e.f", "a.b.c", "b.c.d", "a.b.c.d.e",
+    Spelled("a"), Spelled("b"), Spelled("a.b"), Spelled("b.c"),
 )
 
 LEAVES = st.one_of(
@@ -506,6 +522,29 @@ def test_non_str_keys_resolve_like_the_walk(code):
     ])
     plan = plan_pushdown(parse_query(code), None)
     assert_same(execute_plan_on_docs(docs, plan), reference(docs, plan), code)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": {"1": 5, 1: 6}},  # the walk keeps the later spelling
+    {"a": {1: 6, "1": 5}},
+    {"a": {"b": {"c": 1}}, Spelled("a.b"): {"c": 2}},  # a split, not str
+    {Spelled("a.b"): {"c": 2}, "a": {"b": {"c": 1}}},
+    {"a": {"b": {"c": 1}, Spelled("b.c"): 3}},
+    {"a": {"b": {"c": 1, Spelled("c"): 4}}},
+    {"a": {"b": 1}, Spelled("k"): "z", "k": "y"},
+])
+def test_non_str_keys_on_a_hit_resolve_like_the_walk(doc):
+    docs = _stamp([doc, {"a": {"b": {"c": 0.5}, "1": 2}, "k": "x"}])
+    for code in (
+        "df.groupby('k')['a.1'].sum()",
+        "df['a.b.c'].max()",
+        "df.sort_values('a.b.c').head(2)[['k', 'a.1']]",
+    ):
+        plan = plan_pushdown(parse_query(code), None)
+        assert_same(
+            execute_plan_on_docs(docs, plan), reference(docs, plan), code
+        )
+    check_all(docs)
 
 
 @pytest.mark.parametrize("values", [

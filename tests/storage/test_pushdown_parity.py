@@ -49,6 +49,8 @@ _PIPELINES = [
     "df.groupby('status')['duration'].sum()"
     ".sort_values('duration', ascending=False).head(1)",
     "df[df['status'] == 'FINISHED'].groupby('workflow_id')['retries'].max()",
+    "df.groupby([])['duration'].count()",  # no keys: one group
+    "df.groupby([])['retries'].sum()",
     # topk: sorted head/tail with and without skip/projection
     "df.sort_values('duration').head(3)",
     "df.sort_values('duration', ascending=False).head(4)"
