@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -98,7 +98,6 @@ _MISSING = _Missing()
 _MISSING_ONLY = frozenset({_Missing})
 _INT_ONLY = frozenset({int})
 _DICT_ONLY = frozenset({dict})
-_STR_ONLY = frozenset({str})
 #: stands in for a row whose path ended above the current level
 _EMPTY: dict[str, Any] = {}
 
@@ -325,11 +324,14 @@ def _project_flat(
 def _odd_rows(dicts: list[Any]) -> set[int]:
     """Rows the plain walk cannot read: a non-``dict`` row, or one with a
     non-``str`` key (the walk spells keys via ``str()``, which
-    ``dict.get`` cannot match).  One C-level pass over every key decides
-    the common all-``str`` case."""
-    if set(map(type, dicts)) <= _DICT_ONLY and set(
-        map(type, chain.from_iterable(dicts))
-    ) <= _STR_ONLY:
+    ``dict.get`` cannot match).  The union of every row's keys decides
+    the common all-``str`` case in one C-level pass; it can only lose a
+    non-``str`` key that equals, and hashes like, a ``str`` key of
+    another row.
+    """
+    if set(map(type, dicts)) <= _DICT_ONLY and all(
+        type(k) is str for k in set().union(*dicts)
+    ):
         return set()
     return {
         i for i, d in enumerate(dicts)
@@ -455,6 +457,8 @@ def _read_columns(
             for k in first_pos
         }
         return columns, first_pos
+    if not fields:  # e.g. len(df): no column to read
+        return {}, {}
     odd = _odd_rows(rows)
     return {f: _project_column(rows, f, odd) for f in fields}, {}
 
